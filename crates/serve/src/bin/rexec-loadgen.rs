@@ -5,8 +5,8 @@
 //! connections without waiting for responses, then reports plan
 //! queries/sec and latency quartiles as a JSON summary line. With
 //! `--dump` (single connection) it also records the raw response byte
-//! stream, which CI diffs across server batch windows to pin
-//! determinism end to end.
+//! stream, which CI diffs across server batch sizes and worker counts
+//! to pin determinism end to end.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};

@@ -19,9 +19,10 @@
 //!   table per platform) and the batched `solve_many_into` path.
 //! - [`wire`]: the NDJSON protocol with typed `{"err": ...}` responses
 //!   that reuse the CLI's domain validator ([`rexec_cli::spec`]).
-//! - [`server`]: the daemon — accept loop, bounded MPSC queue, adaptive
-//!   batcher (flush on N requests or T µs), per-connection reorder
-//!   writers, graceful drain on shutdown, rexec-obs metrics throughout.
+//! - [`server`]: the daemon — accept loop, bounded MPSC queue, natural
+//!   batcher (a batch is whatever is queued when a worker frees up,
+//!   capped at `batch_max`), per-connection reorder writers, graceful
+//!   drain on shutdown, rexec-obs metrics throughout.
 //!
 //! Binaries: `rexec-serve` (the daemon) and `rexec-loadgen` (an
 //! open-loop generator reporting queries/sec and latency quartiles).

@@ -5,17 +5,20 @@
 //!  clients ──► accept loop ──► reader (per conn) ──► bounded MPSC queue
 //!                                                        │
 //!                              batch workers ×W ◄────────┘
-//!                        (drain ≤ N jobs or T µs window, then one
-//!                         PlanService::plan_batch over the batch)
+//!                        (take what is queued, ≤ batch_max jobs,
+//!                         then one PlanService::plan_batch over it)
 //!                                    │ (seq, response line)
 //!                              writer (per conn): reorders by seq,
 //!                              writes responses in request order
 //! ```
 //!
+//! A batch is whatever is queued when a worker frees up, capped at
+//! `batch_max`: no timer, so an idle daemon answers a request at once.
+//!
 //! Ordering: each reader stamps requests with a per-connection sequence
 //! number; workers answer out of order (batches interleave connections
 //! freely) and the writer holds a reorder buffer, so every connection
-//! sees responses in exactly request order no matter the batch window
+//! sees responses in exactly request order no matter the batch size
 //! or worker count.
 //!
 //! Graceful shutdown ([`Server::shutdown`], or SIGTERM/ctrl-c in the
@@ -33,7 +36,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -45,11 +48,8 @@ pub struct ServeOptions {
     pub addr: String,
     /// Batch worker threads.
     pub workers: usize,
-    /// Flush a batch at this many requests...
+    /// Most requests one batch takes from the queue.
     pub batch_max: usize,
-    /// ...or when the oldest request has waited this long (µs),
-    /// whichever comes first.
-    pub batch_window_us: u64,
     /// Bounded request-queue depth (readers block when full — TCP
     /// backpressure instead of unbounded memory).
     pub queue_cap: usize,
@@ -68,7 +68,6 @@ impl Default for ServeOptions {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             batch_max: 128,
-            batch_window_us: 200,
             queue_cap: 1024,
             drain_secs: 5.0,
             service: ServiceConfig::default(),
@@ -301,7 +300,7 @@ fn reader_loop(
             })
             .is_ok()
     };
-    'conn: loop {
+    loop {
         if let Some(deadline) = inner.drain_deadline() {
             if Instant::now() >= deadline {
                 break; // shutdown drain expired; abandon the socket
@@ -310,13 +309,18 @@ fn reader_loop(
         match stream.read(&mut buf) {
             Ok(0) => break, // EOF: client is done sending
             Ok(n) => {
+                // The tail kept from earlier reads holds no newline.
+                let mut scan = pending.len();
                 pending.extend_from_slice(&buf[..n]);
-                while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = pending.drain(..=pos).collect();
-                    if !queue_line(&line, &mut seq) {
-                        break 'conn; // workers are gone
+                let mut start = 0;
+                while let Some(off) = pending[scan..].iter().position(|&b| b == b'\n') {
+                    scan += off + 1;
+                    if !queue_line(&pending[start..scan], &mut seq) {
+                        return; // workers are gone
                     }
+                    start = scan;
                 }
+                pending.drain(..start);
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -370,40 +374,30 @@ fn writer_loop(inner: &Arc<Inner>, stream: TcpStream, resp_rx: Receiver<(u64, St
     }
 }
 
-/// Drains the queue into batches (≤ `batch_max` jobs or the batch
-/// window, whichever first) and answers each batch through one
-/// `plan_batch` sweep.
+/// Answers the queue batch by batch, each through one `plan_batch`
+/// sweep, until every reader is gone and the queue is empty.
 fn worker_loop(inner: &Arc<Inner>, rx: &Mutex<Receiver<Job>>) {
-    let window = Duration::from_micros(inner.opts.batch_window_us.max(1));
     let batch_max = inner.opts.batch_max.max(1);
     let mut batch: Vec<Job> = Vec::with_capacity(batch_max);
     let mut queries: Vec<Query> = Vec::new();
     let mut answers = Vec::new();
-    loop {
-        batch.clear();
-        {
-            let rx = rx.lock().expect("job queue poisoned");
-            match rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(job) => {
-                    batch.push(job);
-                    let deadline = Instant::now() + window;
-                    while batch.len() < batch_max {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        match rx.recv_timeout(deadline - now) {
-                            Ok(job) => batch.push(job),
-                            Err(_) => break,
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
+    // The guard is a temporary of the condition: the queue is free while solving.
+    while next_batch(&rx.lock().expect("queue poisoned"), batch_max, &mut batch) {
         process_batch(inner, &batch, &mut queries, &mut answers);
+        // Drop the jobs' response senders before waiting for the lock:
+        // a connection's writer finishes only once every sender is gone.
+        batch.clear();
     }
+}
+
+/// Blocks for one job, then adds what is already queued, up to
+/// `batch_max` jobs. Returns `false` once the queue is closed and empty.
+fn next_batch<T>(rx: &Receiver<T>, batch_max: usize, batch: &mut Vec<T>) -> bool {
+    batch.clear();
+    let Ok(first) = rx.recv() else { return false };
+    batch.push(first);
+    batch.extend(rx.try_iter().take(batch_max.saturating_sub(1)));
+    true
 }
 
 fn process_batch(
@@ -450,11 +444,12 @@ fn process_batch(
             .latency
             .record_at(inner.started.elapsed().as_secs_f64(), latency);
     }
-    publish_metrics(inner);
 }
 
 /// Publishes the rolling-window gauges: `serve.qps`,
 /// `serve.latency.p50` / `.p99` / `.per_sec`, and the cache hit rate.
+/// Merging the window is far costlier than recording into it, so it
+/// runs when the gauges are read, not per batch.
 fn publish_metrics(inner: &Arc<Inner>) {
     let stats = inner.latency.publish_at(
         rexec_obs::global(),
@@ -500,5 +495,36 @@ pub mod signals {
     /// Whether a termination signal has arrived.
     pub fn stop_requested() -> bool {
         STOP.load(Ordering::SeqCst)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn next_batch_takes_what_is_queued_up_to_batch_max() {
+        let (tx, rx) = mpsc::sync_channel(300);
+        (0..300u32).for_each(|job| tx.send(job).expect("queue has room"));
+        let mut batch = Vec::new();
+        let sizes: Vec<usize> = (0..3)
+            .map(|_| {
+                assert!(next_batch(&rx, 128, &mut batch));
+                batch.len()
+            })
+            .collect();
+        assert_eq!(sizes, [128, 128, 44]);
+        assert_eq!(batch, (256..300).collect::<Vec<_>>());
+        // The sender is alive: a lone job must come back at once (a
+        // drain that waited for company would hang here).
+        tx.send(7).expect("queue has room");
+        assert!(next_batch(&rx, 128, &mut batch));
+        assert_eq!(batch, [7]);
+        // A disconnected queue is drained first, then ends the loop.
+        tx.send(8).expect("queue has room");
+        drop(tx);
+        assert!(next_batch(&rx, 128, &mut batch));
+        assert_eq!(batch, [8]);
+        assert!(!next_batch(&rx, 128, &mut batch));
     }
 }

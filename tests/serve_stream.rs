@@ -2,9 +2,13 @@
 //!
 //! * **stream determinism** — a fixed single-connection query stream
 //!   must produce a byte-identical response stream regardless of the
-//!   batch window, batch size, worker-thread count, plan-cache state
-//!   (cold, warm, or disabled) — answers are pure functions of the
+//!   batch cap, worker-thread count, plan-cache state (cold, warm, or
+//!   disabled) — a batch is whatever is queued when a worker frees up,
+//!   capped at `batch_max`, and answers are pure functions of the
 //!   query, never of batch shape or cache residency;
+//! * **framing** — how the client splits its writes (one line over
+//!   many 1-byte writes, hundreds of lines in one write) does not
+//!   change the response stream;
 //! * **graceful shutdown** — requests accepted before and during the
 //!   drain are all answered, and the listener refuses new connections
 //!   once the server has exited;
@@ -21,12 +25,11 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
 /// Starts an in-process server on an ephemeral port.
-fn start(batch_window_us: u64, batch_max: usize, workers: usize, cache: usize) -> Server {
+fn start(batch_max: usize, workers: usize, cache: usize) -> Server {
     Server::start(ServeOptions {
         addr: "127.0.0.1:0".into(),
         workers,
         batch_max,
-        batch_window_us,
         service: ServiceConfig {
             plan_cache_capacity: cache,
             ..ServiceConfig::default()
@@ -39,11 +42,19 @@ fn start(batch_window_us: u64, batch_max: usize, workers: usize, cache: usize) -
 /// Sends `lines` over one connection, half-closes, and returns the raw
 /// response bytes until EOF.
 fn roundtrip(server: &Server, lines: &str) -> Vec<u8> {
+    roundtrip_writes(server, [lines.as_bytes()])
+}
+
+/// [`roundtrip`] with the request bytes sent as the given writes, one
+/// `write_all` each.
+fn roundtrip_writes<'a>(server: &Server, writes: impl IntoIterator<Item = &'a [u8]>) -> Vec<u8> {
     let stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.set_nodelay(true).ok();
     let mut read_half = stream.try_clone().expect("clone stream");
     let mut write_half = stream;
-    write_half.write_all(lines.as_bytes()).expect("send");
+    for chunk in writes {
+        write_half.write_all(chunk).expect("send");
+    }
     write_half
         .shutdown(std::net::Shutdown::Write)
         .expect("half-close");
@@ -109,7 +120,7 @@ fn response_stream_is_byte_identical_across_server_shapes() {
     let stream = fixed_stream(1500);
 
     // Reference shape: no batching at all, one worker, cold cache.
-    let server = start(0, 1, 1, 65536);
+    let server = start(1, 1, 65536);
     let reference = roundtrip(&server, &stream);
     server.shutdown();
     server.join();
@@ -121,10 +132,8 @@ fn response_stream_is_byte_identical_across_server_shapes() {
 
     // Wide batches, many workers; plus cache disabled; plus a tiny
     // cache under eviction pressure. All must match byte for byte.
-    for (window, batch_max, workers, cache) in
-        [(5000, 512, 4, 65536), (200, 128, 2, 0), (1000, 64, 3, 8)]
-    {
-        let server = start(window, batch_max, workers, cache);
+    for (batch_max, workers, cache) in [(512, 4, 65536), (128, 2, 0), (64, 3, 8)] {
+        let server = start(batch_max, workers, cache);
         let got = roundtrip(&server, &stream);
         let report = {
             server.shutdown();
@@ -132,8 +141,7 @@ fn response_stream_is_byte_identical_across_server_shapes() {
         };
         assert_eq!(
             got, reference,
-            "stream diverged at window={window}us batch={batch_max} \
-             workers={workers} cache={cache}"
+            "stream diverged at batch={batch_max} workers={workers} cache={cache}"
         );
         assert_eq!(report.requests, 1500);
         assert_eq!(report.responses, 1500);
@@ -141,7 +149,7 @@ fn response_stream_is_byte_identical_across_server_shapes() {
 
     // Warm cache: the same server answering the stream twice must give
     // the same bytes both times (hits replay the solved plan exactly).
-    let server = start(200, 128, 2, 65536);
+    let server = start(128, 2, 65536);
     let cold = roundtrip(&server, &stream);
     let warm = roundtrip(&server, &stream);
     let report = {
@@ -158,8 +166,41 @@ fn response_stream_is_byte_identical_across_server_shapes() {
 }
 
 #[test]
+fn response_stream_is_byte_identical_however_the_client_splits_writes() {
+    let stream = fixed_stream(600);
+    let server = start(1, 1, 65536);
+    let reference = roundtrip(&server, &stream);
+    server.shutdown();
+    server.join();
+
+    // Line 0 arrives one byte per write; then one write carries lines
+    // 1..450 and the first half of line 450, whose second half follows
+    // one byte per write; one last write carries the rest.
+    let bytes = stream.as_bytes();
+    let ends: Vec<usize> = stream.match_indices('\n').map(|(at, _)| at + 1).collect();
+    let mid_450 = (ends[449] + ends[450]) / 2;
+    let mut writes: Vec<&[u8]> = bytes[..ends[0]].chunks(1).collect();
+    writes.push(&bytes[ends[0]..mid_450]);
+    writes.extend(bytes[mid_450..ends[450]].chunks(1));
+    writes.push(&bytes[ends[450]..]);
+
+    let server = start(128, 2, 65536);
+    let got = roundtrip_writes(&server, writes);
+    let report = {
+        server.shutdown();
+        server.join()
+    };
+    assert_eq!(
+        got, reference,
+        "response stream depends on write boundaries"
+    );
+    assert_eq!(report.requests, 600);
+    assert_eq!(report.responses, 600);
+}
+
+#[test]
 fn graceful_shutdown_answers_everything_then_refuses_connections() {
-    let server = start(200, 128, 2, 65536);
+    let server = start(128, 2, 65536);
     let addr = server.local_addr();
 
     let stream = TcpStream::connect(addr).expect("connect");
@@ -225,7 +266,7 @@ fn graceful_shutdown_answers_everything_then_refuses_connections() {
 
 #[test]
 fn typed_errors_keep_the_connection_usable() {
-    let server = start(200, 128, 2, 65536);
+    let server = start(128, 2, 65536);
     let stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
